@@ -26,7 +26,6 @@
 #include "core/oracle_predictor.h"
 #include "core/plan_graph.h"
 #include "nn/kernels.h"
-#include "nn/quantized.h"
 #include "sim/cost_engine.h"
 #include "sim/event_simulator.h"
 #include "workload/generator.h"
@@ -207,7 +206,7 @@ BENCHMARK(BM_TuneEndToEnd)
 // Emits a JSON document with one row per (stage, variant): the encoder /
 // message-passing / readout GNN blocks on a 128-row batch, and the
 // end-to-end batched scoring path over 128 distinct candidates, each
-// under the scalar, simd, fp32 and int8 kernel configurations.
+// under the scalar and simd kernel configurations.
 //
 // Methodology (the committed numbers must be trustworthy):
 //   - reps per sample are auto-calibrated so one sample spans at least a
@@ -268,7 +267,7 @@ TimingStats MeasureNs(Clock* clock, const std::function<void()>& fn,
 
 struct TrajectoryRow {
   std::string stage;
-  std::string variant;  // scalar | simd | fp32 | int8
+  std::string variant;  // scalar | simd
   std::string isa;      // ISA actually dispatched while timing
   double items = 1.0;   // batch rows (stages) or candidates (end-to-end)
   TimingStats t;
@@ -283,7 +282,7 @@ int RunTrajectory() {
   constexpr size_t kCandidates = 128;
 
   Clock* clock = SystemClock::Default();
-  core::ZeroTuneModel model;
+  const core::ZeroTuneModel model;
   const core::ZeroTuneModel::GnnBlocks blocks = model.blocks();
   const auto plans = CandidateSet(kCandidates);
   ZT_CHECK_OK(core::PredictBatch(model, plans).status());
@@ -341,14 +340,6 @@ int RunTrajectory() {
     };
     measure(s.name, "scalar", /*force_scalar=*/true, items, fp64);
     measure(s.name, "simd", /*force_scalar=*/false, items, fp64);
-    const nn::QuantizedMlp qf =
-        nn::QuantizedMlp::FromMlp(*s.mlp, nn::QuantKind::kFp32);
-    measure(s.name, "fp32", /*force_scalar=*/false, items,
-            [&] { benchmark::DoNotOptimize(qf.ForwardValue(*s.in)); });
-    const nn::QuantizedMlp qi =
-        nn::QuantizedMlp::FromMlp(*s.mlp, nn::QuantKind::kInt8);
-    measure(s.name, "int8", /*force_scalar=*/false, items,
-            [&] { benchmark::DoNotOptimize(qi.ForwardValue(*s.in)); });
   }
 
   // End-to-end batched scoring: featurization + dedup + all eight GNN
@@ -359,11 +350,6 @@ int RunTrajectory() {
   const double n_cand = static_cast<double>(plans.size());
   measure("predict_batch", "scalar", /*force_scalar=*/true, n_cand, e2e);
   measure("predict_batch", "simd", /*force_scalar=*/false, n_cand, e2e);
-  model.set_inference_precision(core::InferencePrecision::kFp32);
-  measure("predict_batch", "fp32", /*force_scalar=*/false, n_cand, e2e);
-  model.set_inference_precision(core::InferencePrecision::kInt8);
-  measure("predict_batch", "int8", /*force_scalar=*/false, n_cand, e2e);
-  model.set_inference_precision(core::InferencePrecision::kFp64);
 
   const auto scalar_median = [&rows](const std::string& stage) {
     for (const TrajectoryRow& r : rows) {

@@ -1,7 +1,6 @@
 #include "core/batch_inference.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -14,7 +13,6 @@
 #include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
-#include "nn/quantized.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -115,14 +113,12 @@ class RowInterner {
 
 // Plans whose graphs share topology (operator DAG + sink) and cluster
 // encoding share the resource-exchange stage and are row-batched through
-// every operator-side stage. res_state holds the shared exchange output
-// in the precision the batch runs at (exactly one of the two is filled).
+// every operator-side stage.
 struct Group {
   std::vector<size_t> members;       // indices into `plans` / `graphs`
   std::vector<size_t> res_row_ids;   // interned resource rows
   const PlanGraph* shape = nullptr;  // representative graph (topology)
-  Matrix res_state;                  // n_res × h (fp64 batches)
-  nn::FloatBuffer res_state_f32;     // n_res × h (quantized batches)
+  Matrix res_state;                  // n_res × h shared exchange output
 };
 
 // Pointer to the start of row `r` (Matrix is row-major; the const
@@ -130,6 +126,7 @@ struct Group {
 const double* RowPtr(const Matrix& m, size_t r) {
   return m.data() + r * m.cols();
 }
+double* RowPtr(Matrix& m, size_t r) { return m.data() + r * m.cols(); }
 
 // Copies `src_cols` doubles from `src` into row `r` of `dst` starting at
 // column `col0` — the value side of nn::ConcatCols.
@@ -148,32 +145,6 @@ void MeanIntoRow(Matrix& dst, size_t r, size_t col0,
   nn::kernels::MeanRowsF64(dst.data() + r * dst.cols() + col0, rows.data(),
                            rows.size(), cols);
 }
-
-// Owns the per-batch quantized conversions when precision != kFp64.
-struct QuantizedBlocks {
-  nn::QuantizedMlp op_encoder;
-  nn::QuantizedMlp res_encoder;
-  nn::QuantizedMlp flow_update;
-  nn::QuantizedMlp res_update;
-  nn::QuantizedMlp map_message;
-  nn::QuantizedMlp map_update;
-  nn::QuantizedMlp flow_update2;
-  nn::QuantizedMlp readout;
-
-  static QuantizedBlocks From(const ZeroTuneModel::GnnBlocks& b,
-                              nn::QuantKind kind) {
-    return QuantizedBlocks{
-        nn::QuantizedMlp::FromMlp(*b.op_encoder, kind),
-        nn::QuantizedMlp::FromMlp(*b.res_encoder, kind),
-        nn::QuantizedMlp::FromMlp(*b.flow_update, kind),
-        nn::QuantizedMlp::FromMlp(*b.res_update, kind),
-        nn::QuantizedMlp::FromMlp(*b.map_message, kind),
-        nn::QuantizedMlp::FromMlp(*b.map_update, kind),
-        nn::QuantizedMlp::FromMlp(*b.flow_update2, kind),
-        nn::QuantizedMlp::FromMlp(*b.readout, kind),
-    };
-  }
-};
 
 // Interns variable-length uint32 keys: equal keys get equal ids, handed
 // out densely in first-seen order. The message-passing stages build keys
@@ -205,13 +176,14 @@ class IntKeyInterner {
   }
 
   uint32_t Intern(const uint32_t* key, size_t len) {
+    // Linear probing only terminates while a free slot exists, so the
+    // load factor stays ≤ 0.5 even past Reset()'s `expected`.
+    if (2 * (spans_.size() + 1) > mask_ + 1) Grow();
     uint64_t hsh = kFnvOffset;
     for (size_t i = 0; i < len; ++i) {
       hsh = (hsh ^ key[i]) * 1099511628211ull;
     }
-    // FNV's low bits are weak for power-of-two tables; fold in the top.
-    size_t idx = static_cast<size_t>(hsh ^ (hsh >> 32)) & mask_;
-    for (;; idx = (idx + 1) & mask_) {
+    for (size_t idx = Home(hsh);; idx = (idx + 1) & mask_) {
       Slot& s = slots_[idx];
       if (s.gen != gen_) {  // free slot: first time this key is seen
         const auto uid = static_cast<uint32_t>(spans_.size());
@@ -244,6 +216,26 @@ class IntKeyInterner {
   struct Span {
     uint32_t off, len;
   };
+
+  // FNV's low bits are weak for power-of-two tables; fold in the top.
+  size_t Home(uint64_t hsh) const {
+    return static_cast<size_t>(hsh ^ (hsh >> 32)) & mask_;
+  }
+
+  // Doubles the table and re-places the live slots by their stored hash.
+  void Grow() {
+    std::vector<Slot> old(2 * (mask_ + 1));
+    old.swap(slots_);
+    const size_t old_cap = mask_ + 1;
+    mask_ = slots_.size() - 1;
+    for (size_t i = 0; i < old_cap; ++i) {
+      if (old[i].gen != gen_) continue;
+      size_t idx = Home(old[i].hash);
+      while (slots_[idx].gen == gen_) idx = (idx + 1) & mask_;
+      slots_[idx] = old[i];
+    }
+  }
+
   std::vector<Slot> slots_;  // open addressing, linear probing
   size_t mask_ = 0;
   uint32_t gen_ = 0;
@@ -262,10 +254,8 @@ struct StageDedup {
 // The integer skeleton of one chunk's message passing: which rows are
 // distinct at every stage and how candidates map onto them. Built once
 // per chunk from interned ids only — no floating-point data is touched —
-// and then executed at either precision. Keys are content-unique ids, so
-// equal keys guarantee bitwise-identical stage inputs at fp64 (and
-// identical fp32 inputs after rounding, since rounding is a function of
-// the bits).
+// and then executed by ExecuteChunk. Keys are content-unique ids, so
+// equal keys guarantee bitwise-identical stage inputs.
 struct ChunkPlan {
   size_t B = 0;
   std::vector<StageDedup> flow;    // stage 1, per operator
@@ -331,7 +321,15 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
   {
     assert(FeatureEncoder::MappingDim() == 2 &&
            "edge key packing assumes 2 mapping features");
-    keys.Reset(B * 16);
+    // The chunk's edge count bounds its unique edges. Large clusters give
+    // a candidate one edge per (operator, hosting node) pair — hundreds at
+    // 128 nodes — so no per-candidate constant can size this table.
+    size_t n_edges = 0;
+    for (size_t b = 0; b < B; ++b) {
+      n_edges += graphs[group.members[begin + b]].mapping_edges.size();
+    }
+    keys.Reset(n_edges);
+    edge_uid.reserve(n_edges);
     uint32_t ekey[1 + 2 * 2];
     for (size_t b = 0; b < B; ++b) {
       edge_off[b] = edge_uid.size();
@@ -419,163 +417,6 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
   return plan;
 }
 
-// The five MLP blocks an executor forwards through (encoders run before
-// chunking, res_update runs per group).
-enum class Block { kFlowUpdate, kMapMessage, kMapUpdate, kFlowUpdate2,
-                   kReadout };
-
-// fp64 execution: nn::Matrix buffers and the model's own Mlps. This path
-// replicates the sequential Forward() arithmetic bit for bit (see the
-// kernel numerics contract), which the exact-equality tests in
-// tests/predict_batch_test.cc pin down.
-struct F64Engine {
-  using Scalar = double;
-  using Buf = Matrix;
-
-  const ZeroTuneModel::GnnBlocks& blocks;
-  const Matrix& op_encoded;
-  const Matrix& res_state;
-
-  static Buf Alloc(size_t rows, size_t cols, bool zero) {
-    return zero ? Matrix(rows, cols) : Matrix::Uninitialized(rows, cols);
-  }
-  static double* Row(Buf& m, size_t r) { return m.data() + r * m.cols(); }
-  static const double* Row(const Buf& m, size_t r) {
-    return m.data() + r * m.cols();
-  }
-  const double* OpRow(size_t row_id) const {
-    return RowPtr(op_encoded, row_id);
-  }
-  const double* ResStateRow(size_t idx) const {
-    return RowPtr(res_state, idx);
-  }
-  static void CopyRow(double* dst, const double* src, size_t n) {
-    std::memcpy(dst, src, n * sizeof(double));
-  }
-  static void LoadMapFeatures(double* dst,
-                              const std::array<double, 2>& f) {
-    dst[0] = f[0];
-    dst[1] = f[1];
-  }
-  static void Mean(double* dst, const double* const* rows, size_t count,
-                   size_t n) {
-    nn::kernels::MeanRowsF64(dst, rows, count, n);
-  }
-  static void Add(double* acc, const double* x, size_t n) {
-    nn::kernels::AddF64(acc, x, n);
-  }
-  Buf Forward(Block blk, Buf&& in) const {
-    switch (blk) {
-      case Block::kFlowUpdate:
-        return blocks.flow_update->ForwardValue(std::move(in));
-      case Block::kMapMessage:
-        return blocks.map_message->ForwardValue(std::move(in));
-      case Block::kMapUpdate:
-        return blocks.map_update->ForwardValue(std::move(in));
-      case Block::kFlowUpdate2:
-        return blocks.flow_update2->ForwardValue(std::move(in));
-      case Block::kReadout:
-        return blocks.readout->ForwardValue(std::move(in));
-    }
-    return Matrix();
-  }
-  static CostPrediction Decode(const ZeroTuneModel& model, const Buf& m,
-                               size_t r) {
-    Matrix row = Matrix::Uninitialized(1, m.cols());
-    CopyRow(row.data(), Row(m, r), m.cols());
-    return model.DecodeOutput(row);
-  }
-};
-
-// fp32 execution: flat float buffers and QuantizedMlp::ForwardRows — the
-// whole message-passing state stays in fp32, so the only fp64 work per
-// chunk is decoding one readout row per distinct sink state. Serves both
-// quantized kinds (kInt8 keeps fp32 activations).
-struct F32Engine {
-  using Scalar = float;
-  struct Buf {
-    nn::FloatBuffer v;
-    size_t cols = 0;
-  };
-
-  const QuantizedBlocks& blocks;
-  const nn::FloatBuffer& op_encoded;  // h floats per unique operator row
-  const nn::FloatBuffer& res_state;   // h floats per resource
-  size_t h = 0;
-
-  static Buf Alloc(size_t rows, size_t cols, bool zero) {
-    // `zero` marks buffers whose ZeroState halves are read before being
-    // written; everything else is fully overwritten by the assembly
-    // loops, so FloatBuffer skips the fill.
-    Buf b;
-    b.cols = cols;
-    if (zero) {
-      b.v.assign(rows * cols, 0.0f);
-    } else {
-      b.v.resize(rows * cols);
-    }
-    return b;
-  }
-  static float* Row(Buf& b, size_t r) { return b.v.data() + r * b.cols; }
-  static const float* Row(const Buf& b, size_t r) {
-    return b.v.data() + r * b.cols;
-  }
-  const float* OpRow(size_t row_id) const {
-    return op_encoded.data() + row_id * h;
-  }
-  const float* ResStateRow(size_t idx) const {
-    return res_state.data() + idx * h;
-  }
-  static void CopyRow(float* dst, const float* src, size_t n) {
-    std::memcpy(dst, src, n * sizeof(float));
-  }
-  static void LoadMapFeatures(float* dst, const std::array<double, 2>& f) {
-    dst[0] = static_cast<float>(f[0]);
-    dst[1] = static_cast<float>(f[1]);
-  }
-  static void Mean(float* dst, const float* const* rows, size_t count,
-                   size_t n) {
-    nn::kernels::MeanRowsF32(dst, rows, count, n);
-  }
-  static void Add(float* acc, const float* x, size_t n) {
-    nn::kernels::AddF32(acc, x, n);
-  }
-  Buf Forward(Block blk, Buf&& in) const {
-    const nn::QuantizedMlp* mlp = nullptr;
-    switch (blk) {
-      case Block::kFlowUpdate:
-        mlp = &blocks.flow_update;
-        break;
-      case Block::kMapMessage:
-        mlp = &blocks.map_message;
-        break;
-      case Block::kMapUpdate:
-        mlp = &blocks.map_update;
-        break;
-      case Block::kFlowUpdate2:
-        mlp = &blocks.flow_update2;
-        break;
-      case Block::kReadout:
-        mlp = &blocks.readout;
-        break;
-    }
-    Buf out;
-    const size_t rows = in.cols > 0 ? in.v.size() / in.cols : 0;
-    mlp->ForwardRows(in.v.data(), rows, &out.v);
-    out.cols = mlp->out_features();
-    return out;
-  }
-  static CostPrediction Decode(const ZeroTuneModel& model, const Buf& b,
-                               size_t r) {
-    Matrix row = Matrix::Uninitialized(1, b.cols);
-    const float* src = Row(b, r);
-    for (size_t c = 0; c < b.cols; ++c) {
-      row.data()[c] = static_cast<double>(src[c]);
-    }
-    return model.DecodeOutput(row);
-  }
-};
-
 // Shared resource-node exchange (Forward() stage 2). Depends only on the
 // cluster encoding, so it runs once per structure group regardless of how
 // many candidates the group holds.
@@ -600,43 +441,19 @@ Matrix ComputeResourceState(const ZeroTuneModel::GnnBlocks& blocks,
   return blocks.res_update->ForwardValue(std::move(input));
 }
 
-// fp32 twin of ComputeResourceState over flat buffers.
-nn::FloatBuffer ComputeResourceStateF32(
-    const QuantizedBlocks& blocks, const nn::FloatBuffer& res_encoded,
-    const std::vector<size_t>& res_row_ids, size_t h) {
-  const size_t n_res = res_row_ids.size();
-  // Explicitly zeroed: the peer half stays ZeroState when n_res == 1.
-  nn::FloatBuffer input(n_res * 2 * h, 0.0f);
-  std::vector<const float*> peers;
-  for (size_t i = 0; i < n_res; ++i) {
-    const float* self = res_encoded.data() + res_row_ids[i] * h;
-    std::memcpy(input.data() + i * 2 * h, self, h * sizeof(float));
-    if (n_res > 1) {
-      peers.clear();
-      for (size_t j = 0; j < n_res; ++j) {
-        if (j != i) peers.push_back(res_encoded.data() + res_row_ids[j] * h);
-      }
-      nn::kernels::MeanRowsF32(input.data() + i * 2 * h + h, peers.data(),
-                               peers.size(), h);
-    }
-  }
-  nn::FloatBuffer out;
-  blocks.res_update.ForwardRows(input.data(), n_res, &out);
-  return out;
-}
-
-// Runs one chunk's message passing + readout at the engine's precision,
-// assembling only the distinct rows the ChunkPlan identified. Per-row
+// Runs one chunk's message passing + readout, assembling only the
+// distinct rows the ChunkPlan identified, and writes the decoded
+// predictions into `out` at each member's original plan index. The row
+// arithmetic replicates the sequential Forward() bit for bit under the
+// scalar kernels (see the kernel numerics contract), which the
+// exact-equality tests in tests/predict_batch_test.cc pin down. Per-row
 // arithmetic never crosses rows, so results are independent of how
 // members are chunked across threads.
-template <typename Engine>
-void ExecuteChunk(const Engine& eng, const ChunkPlan& plan,
-                  const ZeroTuneModel& model, const Group& group,
-                  size_t begin,
+void ExecuteChunk(const ChunkPlan& plan, const ZeroTuneModel& model,
+                  const ZeroTuneModel::GnnBlocks& blocks,
+                  const Matrix& op_encoded, const Group& group, size_t begin,
                   const std::vector<std::vector<size_t>>& op_row_ids,
                   size_t h, std::vector<CostPrediction>& out) {
-  using Buf = typename Engine::Buf;
-  using T = typename Engine::Scalar;
   const PlanGraph& shape = *group.shape;
   const size_t n_ops = shape.num_operators();
   const size_t B = plan.B;
@@ -647,131 +464,124 @@ void ExecuteChunk(const Engine& eng, const ChunkPlan& plan,
   mp_span.emplace("batch_inference/message_passing");
   mp_span->AddArg("candidates", std::to_string(B));
   std::optional<obs::Span> stage_span;
-  std::vector<const T*> rows;  // scratch: mean inputs
+  std::vector<const double*> rows;  // scratch: mean inputs
 
   // Stage 1: bottom-up data-flow pass over the distinct rows.
   stage_span.emplace("batch_inference/mp_flow");
-  std::vector<Buf> state(n_ops);
+  std::vector<Matrix> state(n_ops);
   for (int id : shape.topo_order) {
     const auto& ups = shape.operator_upstreams[static_cast<size_t>(id)];
     const StageDedup& sd = plan.flow[static_cast<size_t>(id)];
     const size_t uniq = sd.uniq_rep.size();
     // Sources keep the zero-filled upstream half (ZeroState); with
     // upstreams every element is written, so skip the fill.
-    Buf input = Engine::Alloc(uniq, 2 * h, ups.empty());
+    Matrix input = ups.empty() ? Matrix(uniq, 2 * h)
+                               : Matrix::Uninitialized(uniq, 2 * h);
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
       const size_t pl = group.members[begin + b];
-      T* dst = Engine::Row(input, u);
-      Engine::CopyRow(dst, eng.OpRow(op_row_ids[pl][static_cast<size_t>(id)]),
-                      h);
+      CopyIntoRow(input, u, 0,
+                  RowPtr(op_encoded, op_row_ids[pl][static_cast<size_t>(id)]),
+                  h);
       if (!ups.empty()) {
         rows.clear();
         for (int up : ups) {
-          rows.push_back(Engine::Row(state[static_cast<size_t>(up)],
-                                     plan.flow[static_cast<size_t>(up)]
-                                         .remap[b]));
+          rows.push_back(RowPtr(state[static_cast<size_t>(up)],
+                                plan.flow[static_cast<size_t>(up)].remap[b]));
         }
-        Engine::Mean(dst + h, rows.data(), rows.size(), h);
+        MeanIntoRow(input, u, h, rows, h);
       }
     }
     obs::Span mlp_span("batch_inference/mp_mlp");
     state[static_cast<size_t>(id)] =
-        eng.Forward(Block::kFlowUpdate, std::move(input));
+        blocks.flow_update->ForwardValue(std::move(input));
   }
 
   // Stage 3a: forward each distinct mapping message once.
   stage_span.emplace("batch_inference/mp_map_message");
-  Buf messages{};
+  Matrix messages;
   if (!plan.uniq_edges.empty()) {
     const size_t map_dim = FeatureEncoder::MappingDim();
-    Buf edge_in = Engine::Alloc(plan.uniq_edges.size(), h + map_dim, false);
+    Matrix edge_in =
+        Matrix::Uninitialized(plan.uniq_edges.size(), h + map_dim);
     for (size_t u = 0; u < plan.uniq_edges.size(); ++u) {
       const PlanGraph::MappingEdge& e = *plan.uniq_edges[u];
-      T* dst = Engine::Row(edge_in, u);
-      Engine::CopyRow(dst,
-                      eng.ResStateRow(static_cast<size_t>(e.resource_index)),
-                      h);
-      Engine::LoadMapFeatures(dst + h, e.features);
+      const auto res = static_cast<size_t>(e.resource_index);
+      CopyIntoRow(edge_in, u, 0, RowPtr(group.res_state, res), h);
+      CopyIntoRow(edge_in, u, h, e.features.data(), map_dim);
     }
     obs::Span mlp_span("batch_inference/mp_mlp");
-    messages = eng.Forward(Block::kMapMessage, std::move(edge_in));
+    messages = blocks.map_message->ForwardValue(std::move(edge_in));
   }
 
   // Stage 3b: residual map_update per operator.
   stage_span.emplace("batch_inference/mp_map_update");
-  std::vector<Buf> mapped(n_ops);
+  std::vector<Matrix> mapped(n_ops);
   for (size_t i = 0; i < n_ops; ++i) {
     const StageDedup& sd = plan.mapped[i];
     const size_t uniq = sd.uniq_rep.size();
-    // Zero message half when no incoming edges.
-    Buf input = Engine::Alloc(uniq, 2 * h, true);
+    Matrix input(uniq, 2 * h);  // zero message half when no incoming edges
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
-      T* dst = Engine::Row(input, u);
-      Engine::CopyRow(dst, Engine::Row(state[i], plan.flow[i].remap[b]), h);
+      CopyIntoRow(input, u, 0, RowPtr(state[i], plan.flow[i].remap[b]), h);
       const uint32_t lo = plan.inc_off[b * n_ops + i];
       const uint32_t hi = plan.inc_off[b * n_ops + i + 1];
       if (lo != hi) {
         rows.clear();
         for (uint32_t e = lo; e < hi; ++e) {
-          rows.push_back(Engine::Row(messages, plan.inc_uids[e]));
+          rows.push_back(RowPtr(messages, plan.inc_uids[e]));
         }
-        Engine::Mean(dst + h, rows.data(), rows.size(), h);
+        MeanIntoRow(input, u, h, rows, h);
       }
     }
-    Buf upd;
+    Matrix upd;
     {
       obs::Span mlp_span("batch_inference/mp_mlp");
-      upd = eng.Forward(Block::kMapUpdate, std::move(input));
+      upd = blocks.map_update->ForwardValue(std::move(input));
     }
-    Buf res = Engine::Alloc(uniq, h, false);
+    Matrix res = Matrix::Uninitialized(uniq, h);
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
-      T* drow = Engine::Row(res, u);
-      Engine::CopyRow(drow, Engine::Row(state[i], plan.flow[i].remap[b]), h);
-      Engine::Add(drow, Engine::Row(upd, u), h);  // residual
+      CopyIntoRow(res, u, 0, RowPtr(state[i], plan.flow[i].remap[b]), h);
+      nn::kernels::AddF64(RowPtr(res, u), RowPtr(upd, u), h);  // residual
     }
     mapped[i] = std::move(res);
   }
 
   // Stage 4: second bottom-up pass over the resource-aware states.
   stage_span.emplace("batch_inference/mp_flow2");
-  std::vector<Buf> final_state(n_ops);
+  std::vector<Matrix> final_state(n_ops);
   for (int id : shape.topo_order) {
     const auto& ups = shape.operator_upstreams[static_cast<size_t>(id)];
     const StageDedup& sd = plan.flow2[static_cast<size_t>(id)];
     const size_t uniq = sd.uniq_rep.size();
-    Buf input = Engine::Alloc(uniq, 2 * h, ups.empty());
+    Matrix input = ups.empty() ? Matrix(uniq, 2 * h)
+                               : Matrix::Uninitialized(uniq, 2 * h);
+    const Matrix& own = mapped[static_cast<size_t>(id)];
     const std::vector<uint32_t>& mp_remap =
         plan.mapped[static_cast<size_t>(id)].remap;
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
-      T* dst = Engine::Row(input, u);
-      Engine::CopyRow(
-          dst, Engine::Row(mapped[static_cast<size_t>(id)], mp_remap[b]), h);
+      CopyIntoRow(input, u, 0, RowPtr(own, mp_remap[b]), h);
       if (!ups.empty()) {
         rows.clear();
         for (int up : ups) {
-          rows.push_back(Engine::Row(final_state[static_cast<size_t>(up)],
-                                     plan.flow2[static_cast<size_t>(up)]
-                                         .remap[b]));
+          rows.push_back(RowPtr(final_state[static_cast<size_t>(up)],
+                                plan.flow2[static_cast<size_t>(up)].remap[b]));
         }
-        Engine::Mean(dst + h, rows.data(), rows.size(), h);
+        MeanIntoRow(input, u, h, rows, h);
       }
     }
-    Buf upd;
+    Matrix upd;
     {
       obs::Span mlp_span("batch_inference/mp_mlp");
-      upd = eng.Forward(Block::kFlowUpdate2, std::move(input));
+      upd = blocks.flow_update2->ForwardValue(std::move(input));
     }
-    Buf res = Engine::Alloc(uniq, h, false);
+    Matrix res = Matrix::Uninitialized(uniq, h);
     for (size_t u = 0; u < uniq; ++u) {
       const size_t b = sd.uniq_rep[u];
-      T* drow = Engine::Row(res, u);
-      Engine::CopyRow(
-          drow, Engine::Row(mapped[static_cast<size_t>(id)], mp_remap[b]), h);
-      Engine::Add(drow, Engine::Row(upd, u), h);  // residual
+      CopyIntoRow(res, u, 0, RowPtr(own, mp_remap[b]), h);
+      nn::kernels::AddF64(RowPtr(res, u), RowPtr(upd, u), h);  // residual
     }
     final_state[static_cast<size_t>(id)] = std::move(res);
   }
@@ -784,56 +594,17 @@ void ExecuteChunk(const Engine& eng, const ChunkPlan& plan,
   // Readout at the sink: forward and decode each distinct sink state
   // once, then fan the decoded predictions out to the candidates.
   const StageDedup& sink = plan.flow2[static_cast<size_t>(shape.sink_index)];
-  Buf readout =
-      eng.Forward(Block::kReadout,
-                  std::move(final_state[static_cast<size_t>(shape.sink_index)]));
+  const Matrix readout = blocks.readout->ForwardValue(
+      std::move(final_state[static_cast<size_t>(shape.sink_index)]));
   std::vector<CostPrediction> decoded(sink.uniq_rep.size());
+  Matrix row = Matrix::Uninitialized(1, readout.cols());
   for (size_t u = 0; u < decoded.size(); ++u) {
-    decoded[u] = Engine::Decode(model, readout, u);
+    CopyIntoRow(row, 0, 0, RowPtr(readout, u), readout.cols());
+    decoded[u] = model.DecodeOutput(row);
   }
   for (size_t b = 0; b < B; ++b) {
     out[group.members[begin + b]] = decoded[sink.remap[b]];
   }
-}
-
-// Scores members [begin, end) of one structure group and writes the
-// decoded predictions into `out` at each member's original plan index.
-void ScoreChunk(const ZeroTuneModel& model,
-                const ZeroTuneModel::GnnBlocks& raw,
-                const QuantizedBlocks* quant, const Matrix& op_encoded,
-                const nn::FloatBuffer& op_encoded_f32, const Group& group,
-                size_t begin, size_t end,
-                const std::vector<PlanGraph>& graphs,
-                const std::vector<std::vector<size_t>>& op_row_ids,
-                std::vector<CostPrediction>& out) {
-  const size_t h = model.config().hidden_dim;
-  ChunkPlan plan;
-  {
-    obs::Span span("batch_inference/mp_plan");
-    plan = BuildChunkPlan(group, begin, end, graphs, op_row_ids);
-  }
-  if (quant != nullptr) {
-    const F32Engine eng{*quant, op_encoded_f32, group.res_state_f32, h};
-    ExecuteChunk(eng, plan, model, group, begin, op_row_ids, h, out);
-  } else {
-    const F64Engine eng{raw, op_encoded, group.res_state};
-    ExecuteChunk(eng, plan, model, group, begin, op_row_ids, h, out);
-  }
-}
-
-// Stacks `interner`'s unique rows, narrows them to fp32 and runs them
-// through a quantized encoder in one batched call.
-nn::FloatBuffer EncodeStackedF32(const nn::QuantizedMlp& encoder,
-                                 const RowInterner& interner) {
-  if (interner.num_unique() == 0) return {};
-  const Matrix stacked = interner.Stacked();
-  nn::FloatBuffer in(stacked.size());
-  for (size_t i = 0; i < stacked.size(); ++i) {
-    in[i] = static_cast<float>(stacked.data()[i]);
-  }
-  nn::FloatBuffer out;
-  encoder.ForwardRows(in.data(), stacked.rows(), &out);
-  return out;
 }
 
 }  // namespace
@@ -904,39 +675,17 @@ Result<std::vector<CostPrediction>> BatchedPredict(
       res_total += graphs[i].num_resources();
     }
   }
-  // View the blocks at the configured inference precision. Quantized
-  // conversion snapshots the current parameters per batch (~hidden_dim²
-  // floats per block), which is noise next to scoring even one candidate
-  // and keeps the quantized view coherent with online weight updates.
-  const ZeroTuneModel::GnnBlocks raw = model.blocks();
-  const InferencePrecision precision = model.config().precision;
-  std::optional<QuantizedBlocks> quant;
-  if (precision != InferencePrecision::kFp64) {
-    obs::Span span("batch_inference/quantize_blocks");
-    quant.emplace(QuantizedBlocks::From(
-        raw, precision == InferencePrecision::kInt8 ? nn::QuantKind::kInt8
-                                                    : nn::QuantKind::kFp32));
-  }
-  batch_span.AddArg("precision", InferencePrecisionName(precision));
+  const ZeroTuneModel::GnnBlocks blocks = model.blocks();
   batch_span.AddArg("isa", nn::kernels::IsaName(nn::kernels::ActiveIsa()));
 
-  // Encoder outputs in the precision the batch runs at: fp64 matrices
-  // for the exact path, flat fp32 rows for the quantized engines (which
-  // keep all downstream state in fp32 — see F32Engine).
   Matrix op_encoded, res_encoded;
-  nn::FloatBuffer op_encoded_f32, res_encoded_f32;
   {
     obs::Span span("batch_inference/encode");
-    if (quant.has_value()) {
-      op_encoded_f32 = EncodeStackedF32(quant->op_encoder, op_rows);
-      res_encoded_f32 = EncodeStackedF32(quant->res_encoder, res_rows);
-    } else {
-      if (op_rows.num_unique() > 0) {
-        op_encoded = raw.op_encoder->ForwardValue(op_rows.Stacked());
-      }
-      if (res_rows.num_unique() > 0) {
-        res_encoded = raw.res_encoder->ForwardValue(res_rows.Stacked());
-      }
+    if (op_rows.num_unique() > 0) {
+      op_encoded = blocks.op_encoder->ForwardValue(op_rows.Stacked());
+    }
+    if (res_rows.num_unique() > 0) {
+      res_encoded = blocks.res_encoder->ForwardValue(res_rows.Stacked());
     }
   }
 
@@ -1079,12 +828,7 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     obs::Span span("batch_inference/resource_state");
     for (Group& g : groups) {
       if (g.res_row_ids.empty()) continue;
-      if (quant.has_value()) {
-        g.res_state_f32 =
-            ComputeResourceStateF32(*quant, res_encoded_f32, g.res_row_ids, h);
-      } else {
-        g.res_state = ComputeResourceState(raw, res_encoded, g.res_row_ids, h);
-      }
+      g.res_state = ComputeResourceState(blocks, res_encoded, g.res_row_ids, h);
     }
   }
 
@@ -1125,9 +869,14 @@ Result<std::vector<CostPrediction>> BatchedPredict(
   }
   ParallelFor(pool, chunks.size(), [&](size_t c) {
     const Chunk& chunk = chunks[c];
-    ScoreChunk(model, raw, quant.has_value() ? &*quant : nullptr, op_encoded,
-               op_encoded_f32, groups[chunk.group], chunk.begin, chunk.end,
-               graphs, op_row_ids, out);
+    const Group& group = groups[chunk.group];
+    ChunkPlan plan;
+    {
+      obs::Span span("batch_inference/mp_plan");
+      plan = BuildChunkPlan(group, chunk.begin, chunk.end, graphs, op_row_ids);
+    }
+    ExecuteChunk(plan, model, blocks, op_encoded, group, chunk.begin,
+                 op_row_ids, h, out);
   });
 
   // Fan scored representatives out to their duplicates.

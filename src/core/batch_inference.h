@@ -44,8 +44,12 @@ struct BatchInferenceStats {
 ///    passing stage runs as row-batched matrix ops across the group's
 ///    candidates (sharded over `pool` in deterministic chunks).
 ///
-/// Predictions are bit-identical to ZeroTuneModel::Predict on each plan,
-/// independent of batch composition, chunking, and thread count.
+/// Predictions never depend on batch composition, chunking, or thread
+/// count. Against ZeroTuneModel::Predict on each plan they are
+/// bit-identical under the scalar kernels (ZEROTUNE_DISABLE_SIMD builds,
+/// CPUs without AVX2+FMA, or nn::kernels::ForceScalar) and differ only by
+/// FMA rounding under SIMD, within the relative tolerance documented in
+/// nn/kernels.h and enforced by tests/predict_batch_test.cc.
 Result<std::vector<CostPrediction>> BatchedPredict(
     const ZeroTuneModel& model,
     std::span<const dsp::ParallelQueryPlan* const> plans,

@@ -17,14 +17,6 @@ void MeanRowsF64(double* dst, const double* const* rows, size_t count,
                  size_t n);
 void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
                     FusedAct act);
-void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
-                     size_t n, float* out);
-float DotF32(const float* a, const float* b, size_t n);
-float DotF32I8(const float* a, const int8_t* w, size_t n);
-void AddF32(float* acc, const float* x, size_t n);
-void MeanRowsF32(float* dst, const float* const* rows, size_t count,
-                 size_t n);
-void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act);
 }  // namespace avx2
 #endif  // ZEROTUNE_SIMD_AVX2
 
@@ -113,63 +105,6 @@ void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
   }
 }
 
-void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
-                     size_t n, float* out) {
-  std::memset(out, 0, m * n * sizeof(float));
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* orow = out + i * n;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      if (aik == 0.0f) continue;  // feature rows are sparse; 0·x adds ±0
-      const float* brow = b + kk * n;
-      for (size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-    }
-  }
-}
-
-float DotF32(const float* a, const float* b, size_t n) {
-  float s = 0.0f;
-  for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-float DotF32I8(const float* a, const int8_t* w, size_t n) {
-  float s = 0.0f;
-  for (size_t i = 0; i < n; ++i) s += a[i] * static_cast<float>(w[i]);
-  return s;
-}
-
-void AddF32(float* acc, const float* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += x[i];
-}
-
-void MeanRowsF32(float* dst, const float* const* rows, size_t count,
-                 size_t n) {
-  const float inv = 1.0f / static_cast<float>(count);
-  for (size_t i = 0; i < n; ++i) {
-    float acc = rows[0][i];
-    for (size_t r = 1; r < count; ++r) acc += rows[r][i];
-    dst[i] = acc * inv;
-  }
-}
-
-void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act) {
-  for (size_t i = 0; i < n; ++i) x[i] += bias[i];
-  switch (act) {
-    case FusedAct::kNone:
-      break;
-    case FusedAct::kRelu:
-      for (size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      break;
-    case FusedAct::kLeakyRelu:
-      for (size_t i = 0; i < n; ++i) {
-        x[i] = x[i] > 0.0f ? x[i] : 0.01f * x[i];
-      }
-      break;
-  }
-}
-
 }  // namespace scalar
 }  // namespace
 
@@ -228,32 +163,6 @@ void MeanRowsF64(double* dst, const double* const* rows, size_t count,
 void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
                     FusedAct act) {
   ZT_KERNEL_DISPATCH(BiasActRowsF64, x, bias, rows, n, act);
-}
-
-void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
-                     size_t n, float* out) {
-  ZT_KERNEL_DISPATCH(GemmRowMajorF32, a, m, k, b, n, out);
-}
-
-float DotF32(const float* a, const float* b, size_t n) {
-  ZT_KERNEL_DISPATCH(DotF32, a, b, n);
-}
-
-float DotF32I8(const float* a, const int8_t* w, size_t n) {
-  ZT_KERNEL_DISPATCH(DotF32I8, a, w, n);
-}
-
-void AddF32(float* acc, const float* x, size_t n) {
-  ZT_KERNEL_DISPATCH(AddF32, acc, x, n);
-}
-
-void MeanRowsF32(float* dst, const float* const* rows, size_t count,
-                 size_t n) {
-  ZT_KERNEL_DISPATCH(MeanRowsF32, dst, rows, count, n);
-}
-
-void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act) {
-  ZT_KERNEL_DISPATCH(BiasActRowF32, x, bias, n, act);
 }
 
 #undef ZT_KERNEL_DISPATCH

@@ -2,7 +2,6 @@
 #define ZEROTUNE_NN_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace zerotune::nn::kernels {
 
@@ -23,12 +22,13 @@ namespace zerotune::nn::kernels {
 /// difference is FMA's fused rounding (each multiply-add keeps its
 /// infinitely precise product, perturbing a length-k sum by O(k·2⁻⁵³)
 /// relative). MacF64 applies one FMA per element (no reassociation).
-/// The explicit reduction kernels (DotF64/DotF32/DotF32I8) additionally
-/// split the sum across vector lanes and reduce at the end, which
-/// reassociates; callers must treat them as tolerance-equal, not
-/// bit-equal, across implementations. Element-wise kernels (bias,
-/// activation, mean, add) reassociate nothing, use no FMA, and are
-/// bit-identical across implementations.
+/// The explicit reduction kernel DotF64 additionally splits the sum
+/// across vector lanes and reduces at the end, which reassociates;
+/// callers must treat it as tolerance-equal, not bit-equal, across
+/// implementations. Element-wise kernels (bias, activation, mean, add)
+/// reassociate nothing, use no FMA, and are bit-identical across
+/// implementations. All kernels are fp64: the batch engine and every
+/// product path score in double precision only.
 ///
 /// Alignment contract: nn::Matrix heap storage has no alignment
 /// guarantee beyond operator new, and callers may pass pointers at any
@@ -74,10 +74,6 @@ enum class FusedAct {
   kLeakyRelu,  // x > 0 ? x : 0.01·x, matching nn::ActivateValue
 };
 
-// ---------------------------------------------------------------------
-// fp64 kernels (the default inference path)
-// ---------------------------------------------------------------------
-
 /// out = a·b for row-major a (m×k), b (k×n), out (m×n). Overwrites out
 /// completely (no zero-initialization required). Summation over k runs
 /// in ascending order; zero a-elements contribute nothing either way.
@@ -105,35 +101,6 @@ void MeanRowsF64(double* dst, const double* const* rows, size_t count,
 /// fused activation. Bit-identical across implementations.
 void BiasActRowsF64(double* x, const double* bias, size_t rows, size_t n,
                     FusedAct act);
-
-// ---------------------------------------------------------------------
-// fp32 / int8 kernels (the quantized inference path, nn/quantized.h)
-// ---------------------------------------------------------------------
-
-/// out = a·b for row-major fp32 a (m×k), b (k×n), out (m×n). Same
-/// contract as GemmRowMajorF64: overwrites out completely, sums over k
-/// in ascending order, differs from scalar only by FMA's fused rounding.
-void GemmRowMajorF32(const float* a, size_t m, size_t k, const float* b,
-                     size_t n, float* out);
-
-/// Dot product over fp32 (lane-split partial sums + FMA when SIMD).
-float DotF32(const float* a, const float* b, size_t n);
-
-/// acc[i] += x[i] over fp32 (exact in both implementations).
-void AddF32(float* acc, const float* x, size_t n);
-
-/// fp32 MeanRowsF64: dst[i] = (Σ_r rows[r][i]) · (1/count), summed in row
-/// order per element, no FMA — bit-identical across implementations. The
-/// fp32-native batch engine uses this for its flow/mapping aggregations.
-void MeanRowsF32(float* dst, const float* const* rows, size_t count,
-                 size_t n);
-
-/// Dot of an fp32 activation row against an int8 weight row; products
-/// accumulate in fp32. The caller applies the per-row scale afterwards.
-float DotF32I8(const float* a, const int8_t* w, size_t n);
-
-/// In place over one fp32 row: x[i] += bias[i], then the activation.
-void BiasActRowF32(float* x, const float* bias, size_t n, FusedAct act);
 
 }  // namespace zerotune::nn::kernels
 

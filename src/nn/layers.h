@@ -53,10 +53,6 @@ class Linear {
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
 
-  /// Raw parameter values, consumed by nn::QuantizedMlp's converter.
-  const Matrix& weight_value() const { return weight_->value; }
-  const Matrix& bias_value() const { return bias_->value; }
-
  private:
   size_t in_features_;
   size_t out_features_;
@@ -95,9 +91,8 @@ class Mlp {
   size_t in_features() const { return layers_.front().in_features(); }
   size_t out_features() const { return layers_.back().out_features(); }
 
-  /// Layer handles and options, consumed by nn::QuantizedMlp's converter.
+  /// Layer handles, for shape-derived figures such as FLOPs per row.
   const std::vector<Linear>& layers() const { return layers_; }
-  const Options& options() const { return options_; }
 
  private:
   std::vector<Linear> layers_;

@@ -44,14 +44,6 @@ class DefaultInitAllocator : public A {
 
 }  // namespace detail
 
-/// Flat fp32 buffer whose size-construct/resize leaves new elements
-/// default-initialized (i.e. uninitialized for float) instead of
-/// zero-filled. The quantized inference paths size these buffers and then
-/// overwrite every element, so vector's value-init memsets are pure
-/// overhead on the batch engine's hot path. Use the (n, 0.0f) constructor
-/// or assign() when zeroed contents are semantically required.
-using FloatBuffer = std::vector<float, detail::DefaultInitAllocator<float>>;
-
 /// Dense row-major matrix of doubles. This is the only numeric container in
 /// the neural-network library; vectors are 1×n or n×1 matrices. Sizes in
 /// this project are tiny (feature vectors and hidden states of width ≤ 256),

@@ -191,6 +191,16 @@ TEST(PredictBatchTest, GnnParityHoldsForMaskedFeatureConfigs) {
   }
 }
 
+// Regression: BuildChunkPlan once sized its mapping-edge interner for 16
+// edges per candidate, and the interner's linear probe spun forever once
+// the table filled. A plan spread over 64 nodes has one mapping edge per
+// (operator, hosting node) pair, far more distinct edges than that.
+TEST(PredictBatchTest, ManyDistinctMappingEdgesMatchSequential) {
+  const std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  const Cluster c = Cluster::Homogeneous("m510", 64).value();
+  ExpectGnnParity(*model, {Deploy(LinearQuery(), c, 64)});
+}
+
 TEST(PredictBatchTest, EmptyBatchReturnsEmptyVector) {
   const std::unique_ptr<ZeroTuneModel> model = MakeModel();
   const std::vector<ParallelQueryPlan> none;
