@@ -45,6 +45,16 @@ std::string Num(double v) {
   return std::to_string(v);
 }
 
+// "1,4,7" for diagnostics that name a set of operators.
+std::string JoinIds(const std::vector<int>& ids) {
+  std::string out;
+  for (int id : ids) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(id);
+  }
+  return out;
+}
+
 /// Structural checks: ids, edges, DAG-ness, reachability.
 void CheckStructure(const LintPlan& plan, DiagnosticReport* report) {
   std::unordered_map<int, size_t> index;
@@ -127,11 +137,9 @@ void CheckStructure(const LintPlan& plan, DiagnosticReport* report) {
       if (deg > 0) cyclic.push_back(id);
     }
     std::sort(cyclic.begin(), cyclic.end());
-    std::string ids;
-    for (int id : cyclic) ids += (ids.empty() ? "" : ",") + std::to_string(id);
     report->AddError("ZT-P006",
                      "cycle in the operator graph involving operators {" +
-                         ids + "}",
+                         JoinIds(cyclic) + "}",
                      cyclic.front(), "",
                      "streaming plans must be DAGs; break the back edge");
   }
@@ -348,14 +356,10 @@ void CheckSegments(const LintPlan& plan, DiagnosticReport* report) {
   const std::vector<PlanSegment> segments = DecomposeSegments(plan);
   for (const PlanSegment& seg : segments) {
     if (!seg.IsDegenerate()) continue;
-    std::string ids;
-    for (int id : seg.operator_ids) {
-      ids += (ids.empty() ? "" : ",") + std::to_string(id);
-    }
     report->AddWarning(
         "ZT-P026",
-        std::string("degenerate ") + ToString(seg.kind) +
-            " segment {" + ids + "} has no processing operators",
+        std::string("degenerate ") + ToString(seg.kind) + " segment {" +
+            JoinIds(seg.operator_ids) + "} has no processing operators",
         seg.operator_ids.empty() ? -1 : seg.operator_ids.front(), "",
         "a segment of only sources/sinks gives the analytical cost tier "
         "nothing to model; add a filter/aggregate/join or merge the plan");

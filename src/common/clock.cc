@@ -59,10 +59,12 @@ void FakeClock::Advance(int64_t nanos) {
   now_ += nanos;
 }
 
-bool FakeClock::WaitUntil(std::unique_lock<std::mutex>& lock,
-                          std::condition_variable& cv, int64_t deadline_nanos,
+bool FakeClock::WaitUntil(std::unique_lock<std::mutex>& /*lock*/,
+                          std::condition_variable& /*cv*/,
+                          int64_t deadline_nanos,
                           const std::function<bool()>& pred) {
-  (void)cv;  // the fake clock never blocks, so nothing ever signals it
+  // The fake clock never blocks, so it neither releases the lock nor
+  // waits on the condition variable.
   if (pred()) return true;
   if (deadline_nanos == kNoDeadlineNanos) {
     // No other thread drives fake time; an indefinite wait would deadlock

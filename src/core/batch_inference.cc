@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "core/features.h"
@@ -22,141 +21,55 @@ namespace {
 
 using nn::Matrix;
 
-// FNV-1a over the byte representation of a double sequence, run as four
-// interleaved streams so the 64-bit multiplies pipeline instead of
-// forming one serial dependency chain (feature rows are ~50 words, and
-// the interner hashes every row of every candidate). Bitwise matching is
-// exactly what the intern/dedup transforms need: identical bytes
-// guarantee identical downstream arithmetic, and featurization is
-// deterministic so equal inputs produce equal bytes. Only dispersion
-// matters — every table that uses this confirms bucket hits by comparing
-// the full key bytes.
-uint64_t HashDoubles(const double* p, size_t n, uint64_t seed) {
+// FNV-1a over 32-bit words. Keys of eight words or more (encoder rows
+// are ~100) are consumed 64 bits at a time in four interleaved streams,
+// so the multiplies pipeline instead of forming one serial dependency
+// chain; the short stage keys take the plain word loop. Only dispersion
+// matters: the interner confirms every hash hit by comparing the full key.
+uint64_t HashWords(const unsigned char* p, size_t n) {
   constexpr uint64_t kPrime = 1099511628211ull;
-  uint64_t h0 = seed;
-  uint64_t h1 = seed ^ 0x9E3779B97F4A7C15ull;
-  uint64_t h2 = seed ^ 0xC2B2AE3D27D4EB4Full;
-  uint64_t h3 = seed ^ 0x165667B19E3779F9ull;
-  uint64_t w[4];
+  uint64_t h0 = 1469598103934665603ull;
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    std::memcpy(w, p + i, sizeof w);
-    h0 = (h0 ^ w[0]) * kPrime;
-    h1 = (h1 ^ w[1]) * kPrime;
-    h2 = (h2 ^ w[2]) * kPrime;
-    h3 = (h3 ^ w[3]) * kPrime;
+  if (n >= 8) {
+    uint64_t h1 = h0 ^ 0x9E3779B97F4A7C15ull;
+    uint64_t h2 = h0 ^ 0xC2B2AE3D27D4EB4Full;
+    uint64_t h3 = h0 ^ 0x165667B19E3779F9ull;
+    uint64_t w[4];
+    for (; i + 8 <= n; i += 8) {
+      std::memcpy(w, p + i * sizeof(uint32_t), sizeof w);
+      h0 = (h0 ^ w[0]) * kPrime;
+      h1 = (h1 ^ w[1]) * kPrime;
+      h2 = (h2 ^ w[2]) * kPrime;
+      h3 = (h3 ^ w[3]) * kPrime;
+    }
+    h0 = (h0 ^ h1) * kPrime;
+    h0 = (h0 ^ h2) * kPrime;
+    h0 = (h0 ^ h3) * kPrime;
   }
   for (; i < n; ++i) {
-    std::memcpy(w, p + i, sizeof w[0]);
-    h0 = (h0 ^ w[0]) * kPrime;
+    uint32_t w;
+    std::memcpy(&w, p + i * sizeof(uint32_t), sizeof w);
+    h0 = (h0 ^ w) * kPrime;
   }
-  h0 = (h0 ^ h1) * kPrime;
-  h0 = (h0 ^ h2) * kPrime;
-  h0 = (h0 ^ h3) * kPrime;
   return h0;
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-uint64_t HashInts(const int* p, size_t n, uint64_t seed) {
-  uint64_t hsh = seed;
-  for (size_t i = 0; i < n; ++i) {
-    hsh ^= static_cast<uint64_t>(static_cast<uint32_t>(p[i]));
-    hsh *= 1099511628211ull;
-  }
-  return hsh;
-}
-
-// Interns feature vectors so each distinct row is pushed through an
-// encoder MLP exactly once per batch. Candidates enumerated for one query
-// share most operator rows (only parallelism features vary) and all
-// resource rows, so the win is large in the optimizer's hot loop. Rows
-// are matched bitwise (hash bucket + memcmp), which is cheaper than the
-// lexicographic compares of an ordered map on this hot path.
-class RowInterner {
+// The batch engine's one dedup mechanism. Interns variable-length keys of
+// raw 32-bit words: equal keys get equal ids, handed out densely in
+// first-seen order. Keys are matched bitwise, which is exactly what every
+// use needs — identical bytes guarantee identical downstream arithmetic:
+//  * encoder rows are keyed by their bytes (two words per double), so the
+//    key store doubles as the stacked encoder input (Stacked());
+//  * structure groups are keyed by topology plus interned resource rows;
+//  * message-passing stages are keyed by content-unique ids (interned
+//    encoder rows, previous-stage state ids, unique message ids), so equal
+//    keys are guaranteed to name bitwise-identical stage inputs. Distinct
+//    keys for coincidentally equal rows only cost a redundant MLP row,
+//    never a wrong result.
+class KeyInterner {
  public:
-  size_t Intern(const std::vector<double>& row) {
-    const uint64_t hsh = HashDoubles(row.data(), row.size(), kFnvOffset);
-    auto& bucket = ids_[hsh];
-    for (size_t id : bucket) {
-      const std::vector<double>& have = rows_[id];
-      if (have.size() == row.size() &&
-          std::memcmp(have.data(), row.data(),
-                      row.size() * sizeof(double)) == 0) {
-        return id;
-      }
-    }
-    const size_t id = rows_.size();
-    rows_.push_back(row);
-    bucket.push_back(id);
-    return id;
-  }
+  KeyInterner() { Reset(0); }
 
-  size_t num_unique() const { return rows_.size(); }
-
-  // Unique rows stacked in first-seen order, ready for one batched
-  // encoder call. Empty matrix when nothing was interned.
-  Matrix Stacked() const {
-    if (rows_.empty()) return Matrix();
-    Matrix out(rows_.size(), rows_[0].size());
-    for (size_t r = 0; r < rows_.size(); ++r) {
-      std::memcpy(out.data() + r * out.cols(), rows_[r].data(),
-                  rows_[r].size() * sizeof(double));
-    }
-    return out;
-  }
-
- private:
-  std::unordered_map<uint64_t, std::vector<size_t>> ids_;
-  std::vector<std::vector<double>> rows_;
-};
-
-// Plans whose graphs share topology (operator DAG + sink) and cluster
-// encoding share the resource-exchange stage and are row-batched through
-// every operator-side stage.
-struct Group {
-  std::vector<size_t> members;       // indices into `plans` / `graphs`
-  std::vector<size_t> res_row_ids;   // interned resource rows
-  const PlanGraph* shape = nullptr;  // representative graph (topology)
-  Matrix res_state;                  // n_res × h shared exchange output
-};
-
-// Pointer to the start of row `r` (Matrix is row-major; the const
-// accessor returns by value, so element addresses go through data()).
-const double* RowPtr(const Matrix& m, size_t r) {
-  return m.data() + r * m.cols();
-}
-double* RowPtr(Matrix& m, size_t r) { return m.data() + r * m.cols(); }
-
-// Copies `src_cols` doubles from `src` into row `r` of `dst` starting at
-// column `col0` — the value side of nn::ConcatCols.
-void CopyIntoRow(Matrix& dst, size_t r, size_t col0, const double* src,
-                 size_t src_cols) {
-  std::memcpy(dst.data() + r * dst.cols() + col0, src,
-              src_cols * sizeof(double));
-}
-
-// Mean of selected rows, written into row `r` of `dst` at `col0`.
-// kernels::MeanRowsF64 replicates nn::MeanAll's value in both kernel
-// implementations: sum in the given order, then multiply by 1/n —
-// bit-identical to the sequential forward pass.
-void MeanIntoRow(Matrix& dst, size_t r, size_t col0,
-                 const std::vector<const double*>& rows, size_t cols) {
-  nn::kernels::MeanRowsF64(dst.data() + r * dst.cols() + col0, rows.data(),
-                           rows.size(), cols);
-}
-
-// Interns variable-length uint32 keys: equal keys get equal ids, handed
-// out densely in first-seen order. The message-passing stages build keys
-// from content-unique ids (interned encoder rows, previous-stage state
-// ids, unique message ids), so equal keys are *guaranteed* to name
-// bitwise-identical input rows — dedup by key never merges rows that
-// differ. Distinct keys for coincidentally equal rows only cost a
-// redundant MLP row, never a wrong result. Compared with hashing the
-// 2h-double input rows per stage (the previous design), keys are a few
-// words long, and no B-row input assembly or output scatter is needed.
-class IntKeyInterner {
- public:
   /// Prepares the table for up to `expected` inserts, discarding all
   /// previously interned keys. Reuses the slot array across calls (a
   /// generation counter marks live slots), so a chunk's dozens of
@@ -175,14 +88,14 @@ class IntKeyInterner {
     spans_.clear();
   }
 
-  uint32_t Intern(const uint32_t* key, size_t len) {
+  /// Interns the `words` 32-bit words at `key` (any object representation:
+  /// ids, or the bytes of doubles).
+  uint32_t Intern(const void* key, size_t words) {
     // Linear probing only terminates while a free slot exists, so the
     // load factor stays ≤ 0.5 even past Reset()'s `expected`.
     if (2 * (spans_.size() + 1) > mask_ + 1) Grow();
-    uint64_t hsh = kFnvOffset;
-    for (size_t i = 0; i < len; ++i) {
-      hsh = (hsh ^ key[i]) * 1099511628211ull;
-    }
+    const auto* bytes = static_cast<const unsigned char*>(key);
+    const uint64_t hsh = HashWords(bytes, words);
     for (size_t idx = Home(hsh);; idx = (idx + 1) & mask_) {
       Slot& s = slots_[idx];
       if (s.gen != gen_) {  // free slot: first time this key is seen
@@ -190,22 +103,37 @@ class IntKeyInterner {
         s.gen = gen_;
         s.hash = hsh;
         s.uid = uid;
-        spans_.push_back(Span{static_cast<uint32_t>(keys_.size()),
-                              static_cast<uint32_t>(len)});
-        keys_.insert(keys_.end(), key, key + len);
+        const size_t off = keys_.size();
+        spans_.push_back(
+            Span{static_cast<uint32_t>(off), static_cast<uint32_t>(words)});
+        keys_.resize(off + words);
+        std::memcpy(keys_.data() + off, bytes, words * sizeof(uint32_t));
         return uid;
       }
       if (s.hash != hsh) continue;
       const Span sp = spans_[s.uid];
-      if (sp.len == len &&
-          std::memcmp(keys_.data() + sp.off, key,
-                      len * sizeof(uint32_t)) == 0) {
+      if (sp.len == words &&
+          std::memcmp(keys_.data() + sp.off, bytes,
+                      words * sizeof(uint32_t)) == 0) {
         return s.uid;
       }
     }
   }
 
   size_t num_unique() const { return spans_.size(); }
+
+  /// The unique keys stacked in first-seen order as a row-major matrix,
+  /// for an interner whose keys are all double rows of one width (the
+  /// key store is then that matrix's bytes). Empty when nothing was
+  /// interned.
+  Matrix Stacked() const {
+    if (spans_.empty()) return Matrix();
+    const size_t words = spans_[0].len;
+    assert(keys_.size() == spans_.size() * words && "ragged double rows");
+    Matrix out = Matrix::Uninitialized(spans_.size(), words / 2);
+    std::memcpy(out.data(), keys_.data(), keys_.size() * sizeof(uint32_t));
+    return out;
+  }
 
  private:
   struct Slot {
@@ -243,6 +171,41 @@ class IntKeyInterner {
   std::vector<Span> spans_;
 };
 
+// Plans whose graphs share topology (operator DAG + sink) and cluster
+// encoding share the resource-exchange stage and are row-batched through
+// every operator-side stage.
+struct Group {
+  std::vector<size_t> members;        // indices into `plans` / `graphs`
+  std::vector<uint32_t> res_row_ids;  // interned resource rows
+  const PlanGraph* shape = nullptr;   // representative graph (topology)
+  Matrix res_state;                   // n_res × h shared exchange output
+};
+
+// Pointer to the start of row `r` (Matrix is row-major; the const
+// accessor returns by value, so element addresses go through data()).
+const double* RowPtr(const Matrix& m, size_t r) {
+  return m.data() + r * m.cols();
+}
+double* RowPtr(Matrix& m, size_t r) { return m.data() + r * m.cols(); }
+
+// Copies `src_cols` doubles from `src` into row `r` of `dst` starting at
+// column `col0` — the value side of nn::ConcatCols.
+void CopyIntoRow(Matrix& dst, size_t r, size_t col0, const double* src,
+                 size_t src_cols) {
+  std::memcpy(dst.data() + r * dst.cols() + col0, src,
+              src_cols * sizeof(double));
+}
+
+// Mean of selected rows, written into row `r` of `dst` at `col0`.
+// kernels::MeanRowsF64 replicates nn::MeanAll's value in both kernel
+// implementations: sum in the given order, then multiply by 1/n —
+// bit-identical to the sequential forward pass.
+void MeanIntoRow(Matrix& dst, size_t r, size_t col0,
+                 const std::vector<const double*>& rows, size_t cols) {
+  nn::kernels::MeanRowsF64(dst.data() + r * dst.cols() + col0, rows.data(),
+                           rows.size(), cols);
+}
+
 // One message-passing stage's dedup result for a chunk: candidate b's
 // state is unique row remap[b], and unique row u was first produced by
 // candidate uniq_rep[u] (whose inputs the executor reads to assemble it).
@@ -272,7 +235,7 @@ struct ChunkPlan {
 
 ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
                          const std::vector<PlanGraph>& graphs,
-                         const std::vector<std::vector<size_t>>& op_row_ids) {
+                         const std::vector<std::vector<uint32_t>>& op_row_ids) {
   const PlanGraph& shape = *group.shape;
   const size_t n_ops = shape.num_operators();
   const size_t B = end - begin;
@@ -283,7 +246,7 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
   plan.flow2.resize(n_ops);
 
   std::vector<uint32_t> key;  // scratch: current candidate's key
-  IntKeyInterner keys;        // reused across every dedup round below
+  KeyInterner keys;           // reused across every dedup round below
 
   // Stage 1: bottom-up data-flow pass. A candidate's state row is
   // determined by its interned encoder row and its upstream state ids,
@@ -297,8 +260,7 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
     key.resize(klen);
     for (size_t b = 0; b < B; ++b) {
       const size_t pl = group.members[begin + b];
-      key[0] =
-          static_cast<uint32_t>(op_row_ids[pl][static_cast<size_t>(id)]);
+      key[0] = op_row_ids[pl][static_cast<size_t>(id)];
       for (size_t j = 0; j < ups.size(); ++j) {
         key[1 + j] = plan.flow[static_cast<size_t>(ups[j])].remap[b];
       }
@@ -422,7 +384,7 @@ ChunkPlan BuildChunkPlan(const Group& group, size_t begin, size_t end,
 // many candidates the group holds.
 Matrix ComputeResourceState(const ZeroTuneModel::GnnBlocks& blocks,
                             const Matrix& res_encoded,
-                            const std::vector<size_t>& res_row_ids,
+                            const std::vector<uint32_t>& res_row_ids,
                             size_t h) {
   const size_t n_res = res_row_ids.size();
   Matrix input(n_res, 2 * h);
@@ -452,7 +414,7 @@ Matrix ComputeResourceState(const ZeroTuneModel::GnnBlocks& blocks,
 void ExecuteChunk(const ChunkPlan& plan, const ZeroTuneModel& model,
                   const ZeroTuneModel::GnnBlocks& blocks,
                   const Matrix& op_encoded, const Group& group, size_t begin,
-                  const std::vector<std::vector<size_t>>& op_row_ids,
+                  const std::vector<std::vector<uint32_t>>& op_row_ids,
                   size_t h, std::vector<CostPrediction>& out) {
   const PlanGraph& shape = *group.shape;
   const size_t n_ops = shape.num_operators();
@@ -654,22 +616,26 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     });
   }
 
-  // Intern encoder inputs across the whole batch and encode each unique
-  // row exactly once, in two row-batched MLP calls.
-  RowInterner op_rows, res_rows;
-  std::vector<std::vector<size_t>> op_row_ids(n);
-  std::vector<std::vector<size_t>> res_row_ids(n);
+  // Intern encoder inputs across the whole batch, keyed by their bytes,
+  // and encode each unique row exactly once, in two row-batched MLP calls
+  // whose inputs are the interners' key stores.
+  KeyInterner op_rows, res_rows;
+  std::vector<std::vector<uint32_t>> op_row_ids(n);
+  std::vector<std::vector<uint32_t>> res_row_ids(n);
   size_t op_total = 0, res_total = 0;
   {
     obs::Span span("batch_inference/intern");
+    constexpr size_t kWordsPerDouble = sizeof(double) / sizeof(uint32_t);
     for (size_t i = 0; i < n; ++i) {
       op_row_ids[i].reserve(graphs[i].num_operators());
       for (const auto& f : graphs[i].operator_features) {
-        op_row_ids[i].push_back(op_rows.Intern(f));
+        op_row_ids[i].push_back(
+            op_rows.Intern(f.data(), f.size() * kWordsPerDouble));
       }
       res_row_ids[i].reserve(graphs[i].num_resources());
       for (const auto& f : graphs[i].resource_features) {
-        res_row_ids[i].push_back(res_rows.Intern(f));
+        res_row_ids[i].push_back(
+            res_rows.Intern(f.data(), f.size() * kWordsPerDouble));
       }
       op_total += graphs[i].num_operators();
       res_total += graphs[i].num_resources();
@@ -689,135 +655,33 @@ Result<std::vector<CostPrediction>> BatchedPredict(
     }
   }
 
-  // Dedup identical candidates wholesale: the prediction is a pure
-  // function of the feature graph, so plans whose graphs match row-for-row
-  // (structure, interned encoder rows, and mapping edges) score once and
-  // the result fans out. Reconfiguration and multi-query scoring re-submit
-  // overlapping candidate sets, where this collapses most of the batch.
-  // Candidates are matched by hashing the full signature (FNV-1a) and
-  // confirming field-by-field on bucket hits; mapping-edge features
-  // compare bitwise, matching the row-level dedup semantics above.
-  std::vector<size_t> canonical(n);
-  std::vector<size_t> reps;
-  {
-    obs::Span span("batch_inference/dedup");
-    auto sig_hash = [&](size_t i) {
-      const PlanGraph& g = graphs[i];
-      uint64_t hsh = kFnvOffset;
-      for (size_t id : op_row_ids[i]) {
-        hsh = (hsh ^ static_cast<uint64_t>(id)) * 1099511628211ull;
-      }
-      for (size_t id : res_row_ids[i]) {
-        hsh = (hsh ^ static_cast<uint64_t>(id)) * 1099511628211ull;
-      }
-      hsh = HashInts(g.topo_order.data(), g.topo_order.size(), hsh);
-      for (const auto& ups : g.operator_upstreams) {
-        hsh = (hsh ^ (ups.size() + 1)) * 1099511628211ull;
-        hsh = HashInts(ups.data(), ups.size(), hsh);
-      }
-      hsh = (hsh ^ static_cast<uint64_t>(
-                       static_cast<uint32_t>(g.sink_index))) *
-            1099511628211ull;
-      for (const PlanGraph::MappingEdge& e : g.mapping_edges) {
-        hsh = (hsh ^ static_cast<uint64_t>(
-                         static_cast<uint32_t>(e.operator_index))) *
-              1099511628211ull;
-        hsh = (hsh ^ static_cast<uint64_t>(
-                         static_cast<uint32_t>(e.resource_index))) *
-              1099511628211ull;
-        hsh = HashDoubles(e.features.data(), e.features.size(), hsh);
-      }
-      return hsh;
-    };
-    auto sig_equal = [&](size_t a, size_t b) {
-      const PlanGraph& ga = graphs[a];
-      const PlanGraph& gb = graphs[b];
-      if (op_row_ids[a] != op_row_ids[b] ||
-          res_row_ids[a] != res_row_ids[b] ||
-          ga.sink_index != gb.sink_index || ga.topo_order != gb.topo_order ||
-          ga.operator_upstreams != gb.operator_upstreams ||
-          ga.mapping_edges.size() != gb.mapping_edges.size()) {
-        return false;
-      }
-      for (size_t e = 0; e < ga.mapping_edges.size(); ++e) {
-        const PlanGraph::MappingEdge& ea = ga.mapping_edges[e];
-        const PlanGraph::MappingEdge& eb = gb.mapping_edges[e];
-        if (ea.operator_index != eb.operator_index ||
-            ea.resource_index != eb.resource_index ||
-            std::memcmp(ea.features.data(), eb.features.data(),
-                        ea.features.size() * sizeof(double)) != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::unordered_map<uint64_t, std::vector<size_t>> seen;
-    seen.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      auto& bucket = seen[sig_hash(i)];
-      size_t rep = SIZE_MAX;
-      for (size_t j : bucket) {
-        if (sig_equal(i, j)) {
-          rep = j;
-          break;
-        }
-      }
-      if (rep == SIZE_MAX) {
-        rep = i;
-        bucket.push_back(i);
-        reps.push_back(i);
-      }
-      canonical[i] = rep;
-    }
-  }
-
-  // Group the representative plans by structure so each group shares one
-  // resource-exchange pass and row-batches the operator stages. Groups
-  // are matched by hash + field-compare (like the dedup above) — cheaper
-  // than an ordered map keyed on copies of the topology vectors.
+  // Group plans by structure (topology + interned cluster rows) so each
+  // group shares one resource-exchange pass and row-batches the operator
+  // stages. Identical candidates land in one group, where the ChunkPlan
+  // collapses them onto one row at every stage, readout included.
   std::vector<Group> groups;
   {
     obs::Span span("batch_inference/group");
-    auto group_hash = [&](size_t i) {
+    KeyInterner shapes;
+    std::vector<uint32_t> key;
+    for (size_t i = 0; i < n; ++i) {
       const PlanGraph& g = graphs[i];
-      uint64_t hsh = kFnvOffset;
-      hsh = HashInts(g.topo_order.data(), g.topo_order.size(), hsh);
-      for (const auto& ups : g.operator_upstreams) {
-        hsh = (hsh ^ (ups.size() + 1)) * 1099511628211ull;
-        hsh = HashInts(ups.data(), ups.size(), hsh);
+      // topo_order and operator_upstreams hold one entry per operator, so
+      // the leading count makes the key self-delimiting.
+      key.assign(1, static_cast<uint32_t>(g.topo_order.size()));
+      key.insert(key.end(), g.topo_order.begin(), g.topo_order.end());
+      for (const std::vector<int>& ups : g.operator_upstreams) {
+        key.push_back(static_cast<uint32_t>(ups.size()));
+        key.insert(key.end(), ups.begin(), ups.end());
       }
-      hsh = (hsh ^ static_cast<uint64_t>(
-                       static_cast<uint32_t>(g.sink_index))) *
-            1099511628211ull;
-      for (size_t id : res_row_ids[i]) {
-        hsh = (hsh ^ static_cast<uint64_t>(id)) * 1099511628211ull;
-      }
-      return hsh;
-    };
-    auto group_matches = [&](size_t i, const Group& g) {
-      const PlanGraph& a = graphs[i];
-      const PlanGraph& b = *g.shape;
-      return a.sink_index == b.sink_index && a.topo_order == b.topo_order &&
-             a.operator_upstreams == b.operator_upstreams &&
-             res_row_ids[i] == g.res_row_ids;
-    };
-    std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-    for (size_t i : reps) {
-      auto& bucket = buckets[group_hash(i)];
-      size_t gid = SIZE_MAX;
-      for (size_t c : bucket) {
-        if (group_matches(i, groups[c])) {
-          gid = c;
-          break;
-        }
-      }
-      if (gid == SIZE_MAX) {
-        gid = groups.size();
-        Group g;
-        g.res_row_ids = res_row_ids[i];
-        g.shape = &graphs[i];
-        groups.push_back(std::move(g));
-        bucket.push_back(gid);
+      key.push_back(static_cast<uint32_t>(g.sink_index));
+      key.insert(key.end(), res_row_ids[i].begin(), res_row_ids[i].end());
+      const uint32_t gid = shapes.Intern(key.data(), key.size());
+      if (gid == groups.size()) {
+        Group grp;
+        grp.res_row_ids = res_row_ids[i];
+        grp.shape = &g;
+        groups.push_back(std::move(grp));
       }
       groups[gid].members.push_back(i);
     }
@@ -830,23 +694,6 @@ Result<std::vector<CostPrediction>> BatchedPredict(
       if (g.res_row_ids.empty()) continue;
       g.res_state = ComputeResourceState(blocks, res_encoded, g.res_row_ids, h);
     }
-  }
-
-  metrics->GetCounter("batch_inference.unique_plans_total")
-      ->Increment(reps.size());
-  metrics->GetCounter("batch_inference.dedup_hits_total")
-      ->Increment(n - reps.size());
-  batch_span.AddArg("unique_plans", std::to_string(reps.size()));
-  batch_span.AddArg("structure_groups", std::to_string(groups.size()));
-
-  if (stats) {
-    stats->plans = n;
-    stats->unique_plans = reps.size();
-    stats->structure_groups = groups.size();
-    stats->operator_rows_encoded = op_rows.num_unique();
-    stats->operator_rows_total = op_total;
-    stats->resource_rows_encoded = res_rows.num_unique();
-    stats->resource_rows_total = res_total;
   }
 
   // Shard each group's candidates into contiguous chunks. Without a pool
@@ -867,6 +714,7 @@ Result<std::vector<CostPrediction>> BatchedPredict(
       chunks.push_back(Chunk{g, b, std::min(b + chunk_size, members)});
     }
   }
+  std::vector<size_t> chunk_unique(chunks.size());
   ParallelFor(pool, chunks.size(), [&](size_t c) {
     const Chunk& chunk = chunks[c];
     const Group& group = groups[chunk.group];
@@ -875,13 +723,32 @@ Result<std::vector<CostPrediction>> BatchedPredict(
       obs::Span span("batch_inference/mp_plan");
       plan = BuildChunkPlan(group, chunk.begin, chunk.end, graphs, op_row_ids);
     }
+    chunk_unique[c] =
+        plan.flow2[static_cast<size_t>(group.shape->sink_index)]
+            .uniq_rep.size();
     ExecuteChunk(plan, model, blocks, op_encoded, group, chunk.begin,
                  op_row_ids, h, out);
   });
 
-  // Fan scored representatives out to their duplicates.
-  for (size_t i = 0; i < n; ++i) {
-    if (canonical[i] != i) out[i] = out[canonical[i]];
+  // A chunk scores each distinct sink state once; candidates beyond that
+  // were answered from an identical chunk-mate.
+  size_t unique_plans = 0;
+  for (size_t u : chunk_unique) unique_plans += u;
+  metrics->GetCounter("batch_inference.unique_plans_total")
+      ->Increment(unique_plans);
+  metrics->GetCounter("batch_inference.dedup_hits_total")
+      ->Increment(n - unique_plans);
+  batch_span.AddArg("unique_plans", std::to_string(unique_plans));
+  batch_span.AddArg("structure_groups", std::to_string(groups.size()));
+
+  if (stats) {
+    stats->plans = n;
+    stats->unique_plans = unique_plans;
+    stats->structure_groups = groups.size();
+    stats->operator_rows_encoded = op_rows.num_unique();
+    stats->operator_rows_total = op_total;
+    stats->resource_rows_encoded = res_rows.num_unique();
+    stats->resource_rows_total = res_total;
   }
 
   return out;

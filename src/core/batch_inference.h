@@ -15,8 +15,10 @@ namespace zerotune::core {
 /// reported by the perf benchmarks.
 struct BatchInferenceStats {
   size_t plans = 0;
-  /// Plans remaining after whole-candidate deduplication (identical
-  /// feature graphs score once and the result fans out).
+  /// Distinct sink states scored, summed over chunks: identical plans in
+  /// one chunk share every stage row and are read out once. Without a
+  /// pool (one chunk per structure group) this is the distinct plan
+  /// count.
   size_t unique_plans = 0;
   /// Number of distinct (topology, cluster) structure groups found.
   /// Candidates enumerated for one query all land in one group.
@@ -42,7 +44,10 @@ struct BatchInferenceStats {
 ///  * plans with identical topology and cluster are grouped, the
 ///    resource-exchange stage runs once per group, and every message-
 ///    passing stage runs as row-batched matrix ops across the group's
-///    candidates (sharded over `pool` in deterministic chunks).
+///    candidates (sharded over `pool` in deterministic chunks),
+///  * within a chunk each distinct stage input row, readout included,
+///    runs once, so identical candidates are scored once.
+/// All of this deduplication goes through one bitwise key interner.
 ///
 /// Predictions never depend on batch composition, chunking, or thread
 /// count. Against ZeroTuneModel::Predict on each plan they are

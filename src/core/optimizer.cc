@@ -339,14 +339,7 @@ Result<ParallelismOptimizer::TuningResult> ParallelismOptimizer::Tune(
     if (!improved) break;
   }
 
-  // Materialize the winner.
-  dsp::ParallelQueryPlan final_plan(logical, cluster);
-  for (const Operator& op : logical.operators()) {
-    ZT_RETURN_IF_ERROR(final_plan.SetParallelism(
-        op.id, best[static_cast<size_t>(op.id)]));
-  }
-  final_plan.DerivePartitioning();
-  ZT_RETURN_IF_ERROR(final_plan.PlaceRoundRobin());
+  ZT_ASSIGN_OR_RETURN(dsp::ParallelQueryPlan final_plan, materialize(best));
   ZT_ASSIGN_OR_RETURN(const CostPrediction best_pred,
                       predictor_->Predict(final_plan));
 

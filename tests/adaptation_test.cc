@@ -35,6 +35,22 @@ using core::CostPrediction;
 using core::registry::ModelRegistry;
 using core::registry::VersionState;
 
+// "t<i>". Built by appending: gcc 12 raises a false -Wrestrict on
+// `"t" + std::to_string(i)` once it is inlined.
+std::string TenantName(size_t i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
+
+// "t<i>_<j>".
+std::string TenantName(size_t i, size_t j) {
+  std::string name = TenantName(i);
+  name += '_';
+  name += std::to_string(j);
+  return name;
+}
+
 dsp::ParallelQueryPlan ValidPlan() {
   dsp::QueryPlan q;
   dsp::SourceProperties s;
@@ -257,7 +273,7 @@ TEST(VersionRolloutTest, CommitsHealthyRolloutReplicaByReplica) {
   for (int i = 0; i < 50 && phase != VersionRollout::Phase::kDone; ++i) {
     // Traffic keeps flowing while the rollout steps.
     fleet::FleetRequest req;
-    req.tenant = "t" + std::to_string(i);
+    req.tenant = TenantName(i);
     req.plan = &plan;
     ASSERT_TRUE(fleet.Predict(req).ok());
     clock.AdvanceMillis(1.0);
@@ -309,7 +325,7 @@ TEST(VersionRolloutTest, RollsBackEveryReplicaOnRegression) {
        ++round) {
     for (int j = 0; j < 8; ++j) {
       fleet::FleetRequest req;
-      req.tenant = "t" + std::to_string(round) + "_" + std::to_string(j);
+      req.tenant = TenantName(round, j);
       req.plan = &plan;
       ASSERT_TRUE(fleet.Predict(req).ok());
       ++sent;
@@ -589,7 +605,7 @@ TEST_F(AdaptationWorkerTest, RolledBackPromotionRestoresParentEverywhere) {
        ++round) {
     for (int j = 0; j < 8; ++j) {
       fleet::FleetRequest req;
-      req.tenant = "t" + std::to_string(round) + "_" + std::to_string(j);
+      req.tenant = TenantName(round, j);
       req.plan = &plan;
       ASSERT_TRUE(fleet.Predict(req).ok());
       ++sent;
@@ -659,7 +675,7 @@ TEST(HotSwapRaceTest, ConcurrentSwapsVsInFlightPredictions) {
     threads.emplace_back([&fleet, &plan, t] {
       for (int i = 0; i < kRequestsPerThread; ++i) {
         fleet::FleetRequest req;
-        req.tenant = "t" + std::to_string(t) + "_" + std::to_string(i);
+        req.tenant = TenantName(t, i);
         req.plan = &plan;
         const auto answer = fleet.Predict(req);
         ASSERT_TRUE(answer.ok()) << answer.status().message();

@@ -45,6 +45,14 @@ namespace {
 
 using core::CostPrediction;
 
+// "t<i>". Built by appending: gcc 12 raises a false -Wrestrict on
+// `"t" + std::to_string(i)` once it is inlined.
+std::string TenantName(size_t i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
+
 dsp::ParallelQueryPlan SoakPlan() {
   dsp::QueryPlan q;
   dsp::SourceProperties s;
@@ -160,7 +168,7 @@ std::string RunInlineChaosDrill(size_t requests, size_t tenants,
   FleetRequest req;
   req.plan = &plan;
   for (size_t i = 0; i < requests; ++i) {
-    req.tenant = "t" + std::to_string(Mix64(tenant_stream ^ i) % tenants);
+    req.tenant = TenantName(Mix64(tenant_stream ^ i) % tenants);
     const auto r = fleet.Predict(req);
     // Inline, within capacity, with a healthy fallback: every single
     // request must be answered.
@@ -318,7 +326,7 @@ TEST(FleetSoakTest, ConcurrentChaosSoakReconcilesAtQuiescence) {
       req.plan = &plan;
       for (size_t i = 0; i < kRequestsPerCaller; ++i) {
         const size_t g = c * kRequestsPerCaller + i;
-        req.tenant = "t" + std::to_string(Mix64(g) % kTenants);
+        req.tenant = TenantName(Mix64(g) % kTenants);
         // Every 13th request carries a hopeless budget to exercise the
         // deadline disposition under concurrency.
         req.deadline_ms = (i % 13 == 12) ? 1e-6 : 0.0;

@@ -27,6 +27,14 @@ namespace {
 
 using core::CostPrediction;
 
+// "t<i>". Built by appending: gcc 12 raises a false -Wrestrict on
+// `"t" + std::to_string(i)` once it is inlined.
+std::string TenantName(size_t i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
+
 dsp::ParallelQueryPlan ValidPlan() {
   dsp::QueryPlan q;
   dsp::SourceProperties s;
@@ -432,7 +440,7 @@ TEST(FleetTest, PrimaryErrorFailsOverToNextReplicaSynchronously) {
   const uint64_t plan_hash = PlanKeyHash(plan);
   std::string tenant = "t0";
   for (int i = 0; i < 1000; ++i) {
-    tenant = "t" + std::to_string(i);
+    tenant = TenantName(i);
     if (ring.Owner(RequestKey(tenant, plan_hash)).value() == 0) break;
   }
   ASSERT_EQ(ring.Owner(RequestKey(tenant, plan_hash)).value(), 0u);
@@ -472,7 +480,7 @@ TEST(FleetTest, InlineHedgingIsDeterministicAndFirstAnswerWins) {
   std::string slow_tenant = "s";
   std::string fast_tenant = "f";
   for (int i = 0; i < 1000; ++i) {
-    const std::string t = "t" + std::to_string(i);
+    const std::string t = TenantName(i);
     (ring.Owner(RequestKey(t, plan_hash)).value() == 0 ? slow_tenant
                                                        : fast_tenant) = t;
   }
@@ -692,7 +700,7 @@ TEST(ControllerTest, UnderutilizationScalesDownToFloor) {
   // Each tick needs traffic in its interval (inline traffic leaves zero
   // utilization behind) and drains exactly one replica, down to the floor.
   for (int tick = 0; tick < 4; ++tick) {
-    req.tenant = "t" + std::to_string(tick);
+    req.tenant = TenantName(tick);
     ASSERT_TRUE(fleet.Predict(req).ok());
     controller.Tick();
   }
@@ -716,7 +724,7 @@ TEST(FleetTest, MixedChaosTrafficReconcilesExactly) {
   FleetRequest req;
   req.plan = &plan;
   for (int i = 0; i < 2000; ++i) {
-    req.tenant = "t" + std::to_string(i % 37);
+    req.tenant = TenantName(i % 37);
     ASSERT_TRUE(fleet.Predict(req).ok());
     clock.AdvanceMillis(0.01);
     if (i % 400 == 199) {

@@ -63,7 +63,9 @@ TEST(KernelsDispatchTest, ForceScalarOverridesActiveIsa) {
 }
 
 TEST(KernelsDispatchTest, SimdSupportImpliesCompiledIn) {
-  if (SimdSupported()) EXPECT_TRUE(SimdCompiledIn());
+  if (SimdSupported()) {
+    EXPECT_TRUE(SimdCompiledIn());
+  }
 }
 
 // --- GEMM ------------------------------------------------------------
@@ -245,7 +247,9 @@ TEST(ReductionKernelTest, DotF64ParityAcrossShapes) {
       ScopedForceScalar guard(true);
       scalar_dot = DotF64(a.data(), b.data(), n);
     }
-    if (n == 0) EXPECT_EQ(scalar_dot, 0.0);
+    if (n == 0) {
+      EXPECT_EQ(scalar_dot, 0.0);
+    }
     if (!SimdActiveByDefault()) continue;
     const double simd_dot = DotF64(a.data(), b.data(), n);
     const double scale =

@@ -201,6 +201,30 @@ TEST(PredictBatchTest, ManyDistinctMappingEdgesMatchSequential) {
   ExpectGnnParity(*model, {Deploy(LinearQuery(), c, 64)});
 }
 
+// Identical candidates share every stage row, so their duplicates must
+// score exactly like the sequential path wherever they sit in the batch:
+// adjacent (same chunk) or far apart (different chunks under a pool).
+TEST(PredictBatchTest, DuplicateCandidatesMatchSequential) {
+  const std::vector<ParallelQueryPlan> distinct = MixedBatch();
+  std::vector<ParallelQueryPlan> plans = distinct;
+  plans.insert(plans.begin() + 1, distinct[0]);
+  plans.insert(plans.end(), distinct.begin(), distinct.end());
+
+  std::unique_ptr<ZeroTuneModel> model = MakeModel();
+  ExpectGnnParity(*model, plans);
+
+  std::vector<const ParallelQueryPlan*> ptrs;
+  for (const ParallelQueryPlan& p : plans) ptrs.push_back(&p);
+  BatchInferenceStats stats;
+  ASSERT_TRUE(BatchedPredict(*model, ptrs, nullptr, &stats).ok());
+  EXPECT_EQ(stats.plans, plans.size());
+  EXPECT_EQ(stats.unique_plans, distinct.size());
+
+  ThreadPool pool(4);
+  model->set_thread_pool(&pool);
+  ExpectGnnParity(*model, plans);
+}
+
 TEST(PredictBatchTest, EmptyBatchReturnsEmptyVector) {
   const std::unique_ptr<ZeroTuneModel> model = MakeModel();
   const std::vector<ParallelQueryPlan> none;

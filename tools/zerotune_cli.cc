@@ -1046,8 +1046,9 @@ int RunFleetServeSim(OutputFormat format, const dsp::ParallelQueryPlan& plan,
     for (size_t i = lo; i < hi; ++i) {
       // Tenant assignment hashes the global request index, so the mix is
       // identical whatever the thread count.
-      req.tenant =
-          "t" + std::to_string(Mix64(tenant_stream ^ i) % cfg.tenants);
+      req.tenant.clear();
+      req.tenant += 't';
+      req.tenant += std::to_string(Mix64(tenant_stream ^ i) % cfg.tenants);
       (void)fleet.Predict(req);
       if (fake != nullptr) fake->AdvanceMillis(0.05);
       if (caller != 0) continue;
